@@ -514,7 +514,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue,
         pipeline_config=pipeline_config,
         metrics_out=args.metrics_out,
-        watchdog_grace=args.watchdog_grace,
     )
 
 
@@ -811,12 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission bound: refuse submissions that would "
                         "leave more than N cold cells pending "
                         f"(default: {DEFAULT_QUEUE_LIMIT})")
-    v.add_argument("--watchdog-grace", type=float, default=2.0,
-                   metavar="SECONDS",
-                   help="extra seconds a running chunk may outlive its "
-                        "worker-side deadline before the watchdog SIGKILLs "
-                        "the stuck worker and degrades its cells to "
-                        "timeout failures (default: 2.0)")
     v.add_argument("--regalloc", action="store_true",
                    help="run register allocation (same default as evaluate)")
     v.add_argument(

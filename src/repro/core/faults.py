@@ -162,7 +162,10 @@ def maybe_inject_fault(name: str) -> None:
     * ``REPRO_FAULT_STUCK`` — block ``SIGALRM`` and *then* sleep: a hang
       that :func:`deadline` cannot interrupt, modelling a worker wedged
       in uninterruptible work (C extension, kernel wait).  Only the
-      serve watchdog's ``SIGKILL`` recovers from this one.
+      watchdog of the pool engine (:mod:`repro.evalx.engine`) recovers,
+      by ``SIGKILL`` — in ``evaluate``/``gap`` with ``--jobs N`` and in
+      ``serve`` alike.  Serial runs are the one unsupervised path: with
+      no process boundary, this fixture hangs them.
 
     Environment variables travel to pool workers for free, so one
     mechanism drives serial, parallel and subprocess (CLI) fault tests.

@@ -13,21 +13,28 @@ Two execution strategies fill the grid:
   :class:`~repro.core.cache.ArtifactCache`, so each loop's DDG and
   16-wide ideal schedule are computed once and reused by the other five
   configurations;
-* **parallel** (``jobs=N``) — ``submit()``-based futures on a
-  :class:`~concurrent.futures.ProcessPoolExecutor` over chunks of
-  loops.  Each work item compiles a chunk of loops across *all*
-  requested configurations with a worker-local cache (preserving the
-  cross-configuration reuse).
+* **parallel** (``jobs=N``) — each loop's cells are grouped, groups
+  are chunked ~4 per worker, and the chunks run through the supervised
+  pool engine (:mod:`repro.evalx.engine`) — the same engine ``repro
+  serve`` uses.  :func:`compile_chunk`, the one pool worker, compiles a
+  chunk's cells with a worker-local cache (preserving the
+  cross-configuration reuse); this module merges the results in the
+  parent.
 
 Both strategies are **fault-tolerant** (see :mod:`repro.core.faults`):
 
 * a per-cell wall-clock ``timeout`` degrades a hung schedule to a
-  recorded ``timeout`` failure, enforced inside the (worker) process so
-  even CPU-bound pure-Python loops are interrupted;
-* a crashed or unpicklable worker poisons only its chunk: the chunk is
-  retried once at chunk-size 1 to isolate the bad loop, which is then
-  recorded as a ``crash`` failure while every other loop's metrics
-  survive;
+  recorded ``timeout`` failure, enforced with ``SIGALRM`` inside the
+  compiling process so even CPU-bound pure-Python loops are
+  interrupted; in parallel runs the engine's watchdog also SIGKILLs a
+  worker wedged past its deadline and types its chunk's cells
+  ``timeout``.  Serial ``timeout`` is the one deliberately unsupervised
+  path: with no process boundary there is nothing to kill, so a compile
+  that blocks ``SIGALRM`` hangs the run;
+* a crashed or unpicklable worker poisons only its chunk: the engine
+  retries the chunk one cell at a time on an isolated pool, so the bad
+  cell is recorded as a ``crash`` failure while every other loop's
+  metrics survive;
 * an optional :class:`~repro.evalx.checkpoint.CheckpointLog` persists
   each completed cell, so an interrupted run resumes from where it died.
 
@@ -40,12 +47,11 @@ and the failure list are byte-identical across strategies.
 from __future__ import annotations
 
 import dataclasses
-import math
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.core.cache import ArtifactCache, CacheStats
 from repro.core.faults import DeadlineExceeded, deadline, maybe_inject_fault
@@ -54,6 +60,7 @@ from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.core.results import LoopFailure, LoopMetrics
 from repro.evalx.checkpoint import Cell, CellKey, CheckpointLog, CheckpointMismatch
 from repro.ir.block import Loop
+from repro.ir.registers import reserve_register_ids
 from repro.machine.machine import CopyModel, MachineDescription
 from repro.machine.presets import paper_machine
 from repro.obs.metrics import MetricsRegistry
@@ -382,105 +389,149 @@ def _fill_serial(
         run.absorb_store_stats(sdelta)
 
 
+
+
 # ----------------------------------------------------------------------
-# Parallel execution
+# Parallel execution: the pool worker and the batch adapter
 # ----------------------------------------------------------------------
 
-#: one unit of pool work: ([(loop index, loop), ...], configs, pipeline
-#: config, per-cell timeout, cell keys to skip, attempt number stamped
-#: into failures produced by this payload, the two observability flags
-#: (record spans / collect per-cell metrics), and the artifact-store
-#: path (workers open the on-disk store independently; None = no store).
-_Payload = tuple[
-    list[tuple[int, Loop]],
-    tuple[tuple[int, CopyModel], ...],
-    PipelineConfig,
-    float | None,
-    frozenset[CellKey],
-    int,
-    bool,
-    bool,
-    str | None,
-]
-
-#: what one worker returns: cells, the worker-local cache and store
-#: counters (plain picklable dataclasses; store counters None without a
-#: store), pass wall time, recorded spans and per-cell metric snapshots.
-_ChunkResult = tuple[
-    list[Cell], CacheStats, StoreStats | None, dict[str, float],
-    list[Span], list[tuple[CellKey, dict]],
-]
+#: one cell of pool work: (cell id, loop, cluster count, copy model).
+#: The id comes back as the outcome's ``Cell.loop_index``: the loop
+#: index for the runner, a service-wide slot for the daemon.
+WorkCell = tuple[int, Loop, int, CopyModel]
 
 
-def _compile_chunk(payload: _Payload) -> _ChunkResult:
-    """Worker: compile a chunk of loops across every configuration.
+@dataclass(frozen=True)
+class ChunkJob:
+    """One unit of pool work: an explicit cell list and how to run it.
+
+    Cells of one loop travel together, so the worker-local cache gives
+    them the serial runner's 1-miss/(k-1)-hit profile.  ``budget`` bounds
+    the whole chunk (the daemon's request deadline) on top of the
+    per-cell ``cell_timeout``; ``attempt`` is stamped into failures.
+    """
+
+    cells: tuple[WorkCell, ...]
+    pipeline_config: PipelineConfig
+    cell_timeout: float | None = None
+    budget: float | None = None
+    store_path: str | None = None
+    trace: bool = False
+    metrics: bool = False
+    attempt: int = 1
+
+    def failed(self, error: str, kind: str) -> ChunkResult:
+        """Every cell of the job as a typed failure (an engine verdict)."""
+        out = []
+        for cell_id, loop, n_clusters, model in self.cells:
+            label = config_label(n_clusters, model)
+            out.append(Cell(loop_index=cell_id, config=label, failure=LoopFailure(
+                config=label, loop_name=loop.name, error=error, kind=kind,
+                attempts=self.attempt,
+            )))
+        return ChunkResult(out)
+
+
+@dataclass
+class ChunkResult:
+    """What travels home from a worker: cell outcomes, the worker-local
+    cache and store counters (store counters None without a store), pass
+    wall time, recorded spans and per-cell metric snapshots."""
+
+    cells: list[Cell]
+    cache_stats: CacheStats = field(default_factory=CacheStats)
+    store_stats: StoreStats | None = None
+    pass_seconds: dict[str, float] = field(default_factory=dict)
+    spans: list[Span] = field(default_factory=list)
+    cell_metrics: list[tuple[CellKey, dict]] = field(default_factory=list)
+
+
+def compile_chunk(job: ChunkJob) -> ChunkResult:
+    """Pool worker: compile a chunk's cells under stacked deadlines.
 
     Machines are rebuilt locally (a ``MachineDescription`` holds a
     mapping-proxy latency table and does not pickle); loops and configs
-    do pickle.  The worker-local cache gives each loop in the chunk the
-    same 1-miss/(n_configs - 1)-hit profile as the serial runner.  The
-    per-cell deadline runs *here*, in the worker's main thread, so a
-    hung compilation degrades to a ``timeout`` cell instead of stalling
-    the whole run.
+    do pickle.  The deadlines run *here*, in the worker's main thread:
+    the whole chunk under ``job.budget`` and every cell under
+    ``job.cell_timeout``.  A cell exceeding its own budget becomes a
+    ``timeout`` cell and the chunk moves on; the chunk budget expiring
+    fails the cell it interrupted and every cell not yet attempted.  A
+    worker wedged beyond ``SIGALRM``'s reach is the engine's watchdog's
+    business (:mod:`repro.evalx.engine`).
 
-    Observability rides along the same way: spans land in a worker-local
-    :class:`~repro.obs.Tracer` whose plain-dataclass spans pickle back
-    with the result, and each cell's metric snapshot is a plain dict.
-    Span identity is (loop id, config, seq)-based, so merging worker
-    traces reproduces the serial trace exactly.
+    The loops were built in another process, after this worker may have
+    been forked, so the worker first moves its register-id counter past
+    every id they hold: copies and spill temporaries it mints must not
+    collide with the loop's own registers.
 
-    With a store path, the worker opens the shared on-disk store for
-    itself (stores hold open OS state and do not pickle); entry writes
-    are atomic and deterministic, so workers racing on the same key are
-    harmless, and the worker's outcome counters travel home in the
-    result for merging.
+    Spans land in a worker-local :class:`~repro.obs.Tracer` whose
+    plain-dataclass spans pickle back with the result, and each cell's
+    metric snapshot is a plain dict; span identity is (cell id, config,
+    seq)-based, so merging worker traces reproduces the serial trace.
+    With a store path the worker opens the shared on-disk store for
+    itself (stores hold OS state and do not pickle); entry writes are
+    atomic and deterministic, so workers racing on one key are harmless.
     """
-    (chunk, configs, pipeline_config, timeout, skip, attempt, trace, metrics,
-     store_path) = payload
+    loops = {id(loop): loop for _, loop, _, _ in job.cells}.values()
+    reserve_register_ids(max(
+        (reg.rid for loop in loops
+         for reg in chain(loop.registers(), loop.factory.all_registers())),
+        default=0,
+    ))
     cache = ArtifactCache()
-    store = ArtifactStore.open(store_path) if store_path is not None else None
-    machines = {
-        config_label(n, model): paper_machine(n, model) for n, model in configs
-    }
-    prefixes = {
-        label: key_prefix(machine, pipeline_config) if store is not None else None
-        for label, machine in machines.items()
-    }
-    tracer = Tracer() if trace else None
-    cells: list[Cell] = []
-    pass_seconds: dict[str, float] = {}
-    cell_metrics: list[tuple[CellKey, dict]] = []
-    for idx, loop in chunk:
-        for n_clusters, model in configs:
-            label = config_label(n_clusters, model)
-            if (idx, label) in skip:
-                continue
-            registry = MetricsRegistry() if metrics else None
-            scope = (
-                tracer.cell(idx, label, loop_name=loop.name)
-                if tracer is not None else nullcontext()
-            )
-            with scope:
-                try:
-                    result = _compile_cell(
-                        loop, machines[label], pipeline_config, cache,
-                        timeout, tracer=tracer, metrics=registry,
-                        store=store, store_prefix=prefixes[label],
+    store = ArtifactStore.open(job.store_path) if job.store_path is not None else None
+    tracer = Tracer() if job.trace else None
+    machines: dict[tuple[int, CopyModel], tuple[str, MachineDescription,
+                                                StoreKeyPrefix | None]] = {}
+    result = ChunkResult([], cache.stats, store.stats if store is not None else None)
+    try:
+        with deadline(job.budget):
+            for cell_id, loop, n_clusters, model in job.cells:
+                if (n_clusters, model) not in machines:
+                    machine = paper_machine(n_clusters, model)
+                    machines[(n_clusters, model)] = (
+                        config_label(n_clusters, model), machine,
+                        key_prefix(machine, job.pipeline_config)
+                        if store is not None else None,
                     )
-                except Exception as exc:
-                    cells.append(_failure_cell(idx, label, loop, exc, attempt))
-                    result = None
-            if registry is not None:
-                cell_metrics.append(
-                    ((idx, label), {"loop": loop.name, **registry.snapshot()})
+                label, machine, prefix = machines[(n_clusters, model)]
+                registry = MetricsRegistry() if job.metrics else None
+                scope = (
+                    tracer.cell(cell_id, label, loop_name=loop.name)
+                    if tracer is not None else nullcontext()
                 )
-            if result is None:
-                continue
-            cells.append(Cell(loop_index=idx, config=label, metrics=result.metrics))
-            _merge_pass_seconds(pass_seconds, result.pass_seconds)
-    spans = tracer.spans if tracer is not None else []
-    store_stats = store.stats if store is not None else None
-    return cells, cache.stats, store_stats, pass_seconds, spans, cell_metrics
+                with scope:
+                    try:
+                        compiled = _compile_cell(
+                            loop, machine, job.pipeline_config, cache,
+                            job.cell_timeout, tracer=tracer, metrics=registry,
+                            store=store, store_prefix=prefix,
+                        )
+                    except DeadlineExceeded as exc:
+                        if job.budget is not None and exc.seconds == job.budget:
+                            raise  # the chunk budget, not this cell's
+                        cell = _failure_cell(cell_id, label, loop, exc, job.attempt)
+                    except Exception as exc:
+                        cell = _failure_cell(cell_id, label, loop, exc, job.attempt)
+                    else:
+                        cell = Cell(loop_index=cell_id, config=label,
+                                    metrics=compiled.metrics)
+                        _merge_pass_seconds(result.pass_seconds, compiled.pass_seconds)
+                if registry is not None:
+                    result.cell_metrics.append(
+                        ((cell_id, label), {"loop": loop.name, **registry.snapshot()})
+                    )
+                result.cells.append(cell)
+    except DeadlineExceeded as exc:
+        # the chunk budget expired: the interrupted cell and everything
+        # after it become timeout failures
+        for cell_id, loop, n_clusters, model in job.cells[len(result.cells):]:
+            result.cells.append(_failure_cell(
+                cell_id, config_label(n_clusters, model), loop, exc, job.attempt,
+            ))
+    if tracer is not None:
+        result.spans = tracer.spans
+    return result
 
 
 def _fill_parallel(
@@ -497,114 +548,41 @@ def _fill_parallel(
     collect_metrics: bool = False,
     store: ArtifactStore | None = None,
 ) -> None:
-    store_path = store.path if store is not None else None
-    labels = [config_label(n, m) for n, m in configs]
-    indexed = [
-        (i, loop)
+    """The batch adapter over :class:`~repro.evalx.engine.PoolEngine`:
+    each loop's outstanding cells form one group, groups are chunked ~4
+    per worker, and every result merges into ``run`` in the parent."""
+    from repro.evalx.engine import PoolEngine, chunked
+
+    groups = [
+        [(i, loop, n, model) for n, model in configs
+         if (i, config_label(n, model)) not in cells]
         for i, loop in enumerate(loops)
-        if any((i, label) not in cells for label in labels)
     ]
-    if not indexed:
+    store_path = store.path if store is not None else None
+    work = [
+        ChunkJob(tuple(chunk), pipeline_config, cell_timeout=timeout,
+                 store_path=store_path, trace=tracer is not None,
+                 metrics=collect_metrics)
+        for chunk in chunked([g for g in groups if g], jobs)
+    ]
+    if not work:
         return
-    done_keys = frozenset(cells)
+    n_cells = sum(len(job.cells) for job in work)
+    settled = 0
 
-    def skip_for(chunk: list[tuple[int, Loop]]) -> frozenset[CellKey]:
-        ids = {i for i, _ in chunk}
-        return frozenset(k for k in done_keys if k[0] in ids)
-
-    chunk_size = max(1, math.ceil(len(indexed) / (jobs * 4)))
-    chunks = [indexed[i:i + chunk_size] for i in range(0, len(indexed), chunk_size)]
-
-    def absorb(result: _ChunkResult) -> None:
-        chunk_cells, cache_stats, store_stats, pass_seconds, spans, chunk_metrics = result
-        for cell in chunk_cells:
+    def absorb(result: ChunkResult) -> None:
+        nonlocal settled
+        for cell in result.cells:
             _record(cells, checkpoint, cell)
-        run.absorb_cache_stats(cache_stats)
-        if store_stats is not None:
-            run.absorb_store_stats(store_stats)
-        _merge_pass_seconds(run.pass_seconds, pass_seconds)
+        run.absorb_cache_stats(result.cache_stats)
+        if result.store_stats is not None:
+            run.absorb_store_stats(result.store_stats)
+        _merge_pass_seconds(run.pass_seconds, result.pass_seconds)
         if tracer is not None:
-            tracer.add_spans(spans)
-        for key, snapshot in chunk_metrics:
-            run.cell_metrics[key] = snapshot
+            tracer.add_spans(result.spans)
+        run.cell_metrics.update(result.cell_metrics)
+        settled += len(result.cells)
+        if progress:
+            print(f"  {settled}/{n_cells} cells done", file=sys.stderr)
 
-    # Phase 1: every chunk as one future.  A worker death (or a payload/
-    # result that will not pickle) fails the futures sharing its pool
-    # fate; those chunks are set aside instead of aborting the run.
-    poisoned: list[list[tuple[int, Loop]]] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures: dict[Future, list[tuple[int, Loop]]] = {}
-        for chunk in chunks:
-            payload: _Payload = (
-                chunk, configs, pipeline_config, timeout, skip_for(chunk), 1,
-                tracer is not None, collect_metrics, store_path,
-            )
-            futures[pool.submit(_compile_chunk, payload)] = chunk
-        done = 0
-        not_done = set(futures)
-        while not_done:
-            finished, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-            for fut in finished:
-                # only failures that crossed the process boundary poison a
-                # chunk (a dead worker breaks the pool; an unpicklable
-                # payload/result surfaces here as the future's exception).
-                # absorb() runs outside the try: a merge/accounting bug in
-                # the coordinator is a real bug and must propagate, not be
-                # retried in isolation and misreported as a worker crash.
-                try:
-                    result = fut.result()
-                except Exception:
-                    poisoned.append(futures[fut])
-                    result = None
-                done += 1
-                if progress:
-                    print(f"  chunk {done}/{len(chunks)} done", file=sys.stderr)
-                if result is not None:
-                    absorb(result)
-
-    if not poisoned:
-        return
-
-    # Phase 2: isolate — retry each loop of a poisoned chunk alone in a
-    # single-worker pool.  A loop that kills its worker again is the
-    # culprit: record a crash failure for each of its outstanding cells
-    # and replace the (now broken) pool for the remaining loops.
-    if progress:
-        n_retry = sum(len(chunk) for chunk in poisoned)
-        print(f"  retrying {n_retry} loop(s) from {len(poisoned)} "
-              f"poisoned chunk(s) in isolation", file=sys.stderr)
-    pool = ProcessPoolExecutor(max_workers=1)
-    try:
-        for chunk in poisoned:
-            for idx, loop in chunk:
-                single = [(idx, loop)]
-                payload = (
-                    single, configs, pipeline_config, timeout, skip_for(single), 2,
-                    tracer is not None, collect_metrics, store_path,
-                )
-                # same split as phase 1: only the cross-process failure is
-                # a crash; absorb() errors propagate
-                try:
-                    result = pool.submit(_compile_chunk, payload).result()
-                except Exception as exc:
-                    for label in labels:
-                        if (idx, label) in done_keys:
-                            continue
-                        failure = LoopFailure(
-                            config=label,
-                            loop_name=loop.name,
-                            error=repr(exc),
-                            kind="crash",
-                            attempts=2,
-                        )
-                        _record(
-                            cells, checkpoint,
-                            Cell(loop_index=idx, config=label, failure=failure),
-                        )
-                    # the pool is broken if the worker died; start fresh
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=1)
-                else:
-                    absorb(result)
-    finally:
-        pool.shutdown()
+    PoolEngine.run_batch(jobs, work, absorb)

@@ -20,6 +20,20 @@ from repro.ir.types import DataType
 _GLOBAL_RID = itertools.count(1)
 
 
+def reserve_register_ids(rid: int) -> None:
+    """Make every register minted from now on get an id above ``rid``.
+
+    A process compiling a loop it did not build — a pool worker forked
+    before the loop was parsed — would otherwise mint copy and spill
+    temporaries from a stale counter, colliding with the loop's own ids.
+    A no-op (the counter's state is unchanged) when it is already past
+    ``rid``.
+    """
+    global _GLOBAL_RID
+    upcoming = next(_GLOBAL_RID)
+    _GLOBAL_RID = itertools.count(max(upcoming, rid + 1))
+
+
 @dataclass(frozen=True, slots=True)
 class SymbolicRegister:
     """A virtual register with an identity, a name and a data type.

@@ -11,12 +11,14 @@ configuration labels (:mod:`repro.serve.protocol`), and the
 * **deduplicates in-flight work** — cells whose store key is already
   being compiled (for any client) attach to the existing future instead
   of compiling twice;
-* shards the remaining **cold** cells across a
-  :class:`~concurrent.futures.ProcessPoolExecutor` using the evaluation
-  runner's chunking and poison-isolation discipline (a crashed worker
-  fails only its chunk, which is retried cell-by-cell on a fresh pool;
-  the repeat offender becomes a ``crash`` failure, everything else
-  survives);
+* shards the remaining **cold** cells over the supervised pool engine
+  (:mod:`repro.evalx.engine`) that ``repro evaluate`` and ``repro gap``
+  also run on: the same chunking, worker, watchdog and poison isolation
+  (a crashed worker fails only its chunk, which is retried cell-by-cell
+  on an isolated pool; the repeat offender becomes a ``crash`` failure,
+  a wedged worker is SIGKILLed and its cells become ``timeout``
+  failures, everything else survives) — this module is only the
+  streaming adapter, keeping the in-flight dedup;
 * **streams** per-cell results as they land, in completion order, under
   an optional per-request deadline enforced in the workers via nested
   :func:`~repro.core.faults.deadline` budgets;
@@ -37,16 +39,15 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import math
 import signal
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
 from repro.core.fingerprint import StoreKeyPrefix, key_prefix, store_key
 from repro.core.pipeline import PipelineConfig
 from repro.core.results import LoopFailure, LoopMetrics
 from repro.evalx.checkpoint import Cell
-from repro.evalx.runner import PAPER_CONFIG_ORDER, config_label
+from repro.evalx.engine import PoolEngine, chunked
+from repro.evalx.runner import PAPER_CONFIG_ORDER, ChunkJob, ChunkResult, config_label
 from repro.ir.block import Loop
 from repro.ir.parser import parse_loop
 from repro.machine.machine import CopyModel, MachineDescription
@@ -61,28 +62,8 @@ from repro.serve.protocol import (
     encode_line,
     parse_config_spec,
 )
-from repro.serve.worker import compile_serve_chunk
 from repro.store.entry import StoreEntryError
 from repro.store.tiered import ArtifactStore, StoreStats
-
-
-class _WatchdogReaped(Exception):
-    """Internal: a chunk's worker was reaped; its cells are settled."""
-
-
-class _ColdCell:
-    """One admitted cold cell: identity, dedup slot and worker inputs."""
-
-    __slots__ = ("slot", "digest", "loop", "n_clusters", "model_value", "label")
-
-    def __init__(self, slot: int, digest: str, loop: Loop,
-                 n_clusters: int, model_value: str, label: str):
-        self.slot = slot
-        self.digest = digest
-        self.loop = loop
-        self.n_clusters = n_clusters
-        self.model_value = model_value
-        self.label = label
 
 
 class CompileService:
@@ -96,7 +77,6 @@ class CompileService:
         cell_timeout: float | None = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         tracer: Tracer | None = None,
-        watchdog_grace: float = 2.0,
     ):
         self.store_path = store_path
         self.store = ArtifactStore.open(store_path)
@@ -107,11 +87,10 @@ class CompileService:
         )
         self.cell_timeout = cell_timeout
         self.queue_limit = queue_limit
-        self.watchdog_grace = watchdog_grace
         self.metrics = MetricsRegistry()
         self.tracer = tracer
         self.worker_store_stats = StoreStats()
-        self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+        self._engine = PoolEngine(self.jobs, self._absorb, self.metrics, "serve")
         #: store-key digest -> future resolving to the compiled Cell
         self._inflight: dict[str, asyncio.Future] = {}
         #: worker slot id -> digest (how outcomes find their future)
@@ -122,14 +101,6 @@ class CompileService:
         self._req_seq = 0
         self._draining = False
         self._drained = asyncio.Event()
-        self._isolate_lock = asyncio.Lock()
-        #: at most ``jobs`` chunks may be submitted to the pool at once.
-        #: ProcessPoolExecutor marks queued work items RUNNING as soon as
-        #: they enter its call queue, so without this gate the watchdog
-        #: could not tell a stuck chunk from one parked behind it and
-        #: would reap innocents; gated, a submitted chunk is genuinely
-        #: executing and its running time is honest.
-        self._pool_gate = asyncio.Semaphore(self.jobs)
         self._machines: dict[str, MachineDescription] = {}
         self._prefixes: dict[str, StoreKeyPrefix] = {}
 
@@ -150,7 +121,7 @@ class CompileService:
         await self._drained.wait()
 
     def close(self) -> None:
-        self._pool.shutdown(wait=True)
+        self._engine.close()
 
     # ------------------------------------------------------------------
     # connection handling
@@ -350,7 +321,8 @@ class CompileService:
         )
         #: future -> [(loop_index, loop, label, source)] attached cells
         waiting: dict[asyncio.Future, list] = {}
-        cold: list[_ColdCell] = []
+        #: loop index -> that loop's admitted cold cells, as engine work
+        cold: dict[int, list] = {}
         warm: list[tuple] = []
         for loop_index, loop in enumerate(loops):
             for (n_clusters, model), label in zip(configs, labels):
@@ -375,36 +347,33 @@ class CompileService:
                 self._next_slot += 1
                 self._slot_digest[slot] = key.digest
                 self._pending_cells += 1
-                cold.append(_ColdCell(
-                    slot, key.digest, loop, n_clusters, model.value, label,
-                ))
+                cold.setdefault(loop_index, []).append(
+                    (slot, loop, n_clusters, model)
+                )
                 waiting.setdefault(fut, []).append(
                     (loop_index, loop, label, "compiled")
                 )
         self.metrics.gauge("serve.queue_depth").set(self._pending_cells)
         if lookup_span is not None:
             with lookup_span as s:
-                s.set(warm=len(warm), cold=len(cold),
-                      attached=sum(len(v) for v in waiting.values()) - len(cold))
+                n_cold = sum(len(g) for g in cold.values())
+                s.set(warm=len(warm), cold=n_cold,
+                      attached=sum(len(v) for v in waiting.values()) - n_cold)
 
         # warm cells stream first — the client sees store hits immediately
         for loop_index, loop, label, metrics in warm:
             await stream_cell(loop_index, loop, label, "store", metrics, None)
 
-        # ---- shard cold cells over the pool, evalx-style ------------
-        # chunk whole loops (cells of one loop stay together so the
-        # worker-local cache gives them the 1-miss/(k-1)-hit profile),
-        # ~4 chunks per worker like the evaluation runner
-        groups: dict[int, list[_ColdCell]] = {}
-        for cell in cold:
-            groups.setdefault(id(cell.loop), []).append(cell)
-        loop_groups = list(groups.values())
-        per_chunk = max(1, math.ceil(len(loop_groups) / (self.jobs * 4)))
-        for i in range(0, len(loop_groups), per_chunk):
-            chunk = [c for g in loop_groups[i:i + per_chunk] for c in g]
-            asyncio.get_running_loop().create_task(
-                self._run_chunk(chunk, budget)
+        # ---- shard cold cells over the engine ------------------------
+        # cells of one loop stay together so the worker-local cache gives
+        # them the 1-miss/(k-1)-hit profile
+        for chunk in chunked(list(cold.values()), self.jobs):
+            job = ChunkJob(
+                tuple(chunk), self.pipeline_config,
+                cell_timeout=self.cell_timeout, budget=budget,
+                store_path=self.store_path,
             )
+            asyncio.get_running_loop().create_task(self._engine.run(job))
 
         # ---- stream the rest in completion order --------------------
         # workers enforce the request budget; the server-side cutoff is
@@ -462,167 +431,14 @@ class CompileService:
             return failure
         return dataclasses.replace(failure, config=label, loop_name=loop.name)
 
-    # ------------------------------------------------------------------
-    # worker-pool plumbing
-    # ------------------------------------------------------------------
-    def _payload(self, cells: list[_ColdCell], budget: float | None):
-        return (
-            [(c.slot, c.loop, c.n_clusters, c.model_value) for c in cells],
-            self.pipeline_config, self.cell_timeout, budget, self.store_path,
-        )
-
-    def _watchdog_limit(
-        self, n_cells: int, budget: float | None
-    ) -> float | None:
-        """How long a *running* chunk may take before the watchdog reaps
-        its worker.  The worker's own deadlines bound it to
-        ``min(request budget, cell_timeout * n_cells)``; the grace on top
-        covers honest overhead (store writes, pickling).  ``None`` means
-        the chunk carries no deadline at all and runs unsupervised."""
-        bounds = []
-        if budget is not None:
-            bounds.append(budget)
-        if self.cell_timeout is not None:
-            bounds.append(self.cell_timeout * n_cells)
-        if not bounds:
-            return None
-        return min(bounds) + self.watchdog_grace
-
-    async def _run_chunk(
-        self, cells: list[_ColdCell], budget: float | None
-    ) -> None:
-        """Compile one chunk; poison isolation mirrors the evalx runner."""
-        async with self._pool_gate:
-            # read the live pool only once a slot is free: a chunk that
-            # waited out a watchdog reap must land on the replacement
-            # pool, not the corpse
-            pool = self._pool
-            try:
-                outcomes, stats = await self._supervise(pool, cells, budget)
-            except _WatchdogReaped:
-                return  # cells already absorbed as timeout failures
-            except Exception as exc:
-                # the chunk poisoned its worker (or did not survive
-                # pickling): isolate cell-by-cell on a healthy pool
-                self.metrics.counter("serve.pool_breaks").inc()
-                if isinstance(exc, BrokenExecutor):
-                    self._pool_failed(pool)
-                await self._isolate(cells, budget)
-                return
-        self._absorb(outcomes, stats)
-
-    async def _supervise(
-        self, pool: ProcessPoolExecutor, cells: list[_ColdCell],
-        budget: float | None,
-    ):
-        """Run one chunk on ``pool``, reaping a worker stuck past its
-        deadline.
-
-        The worker enforces its own budgets with ``SIGALRM`` deadlines —
-        which a worker wedged in uninterruptible work (C extension,
-        blocked signals; see ``REPRO_FAULT_STUCK``) never honours.
-        Without supervision such a worker occupies a pool slot forever
-        and its cells' futures never resolve, leaking ``_pending_cells``
-        until admission refuses everything.  The watchdog accumulates
-        time only while the chunk is actually *running* (a queued chunk
-        behind a slow one is not stuck) and, past the limit, ``SIGKILL``s
-        the pool's processes — the only signal a wedged worker cannot
-        block — swaps in a fresh pool and degrades the chunk's cells to
-        typed ``timeout`` failures.
-        """
-        cf = pool.submit(compile_serve_chunk, self._payload(cells, budget))
-        afut = asyncio.wrap_future(cf)
-        limit = self._watchdog_limit(len(cells), budget)
-        if limit is None:
-            return await afut
-        poll = min(0.1, limit / 4)
-        running_for = 0.0
-        while True:
-            try:
-                return await asyncio.wait_for(asyncio.shield(afut), poll)
-            except asyncio.TimeoutError:
-                if cf.running():
-                    running_for += poll
-                if running_for >= limit:
-                    break
-        # the chunk may have completed between the last poll and now
-        if afut.done() and not afut.cancelled() and afut.exception() is None:
-            return afut.result()
-        self.metrics.counter("serve.watchdog_reaps").inc()
-        # the abandoned future will fail once the pool dies; retrieve the
-        # exception so it is not logged as never-consumed
-        afut.add_done_callback(
-            lambda f: None if f.cancelled() else f.exception()
-        )
-        if not cf.cancel():
-            procs = list((pool._processes or {}).values())
-            for proc in procs:
-                proc.kill()
-        self._pool_failed(pool)
-        self._absorb([
-            Cell(
-                loop_index=cell.slot, config=cell.label,
-                failure=LoopFailure(
-                    config=cell.label, loop_name=cell.loop.name,
-                    error=f"worker stuck past its deadline; reaped by the "
-                          f"watchdog after {running_for:.1f}s",
-                    kind="timeout",
-                ),
-            )
-            for cell in cells
-        ], None)
-        raise _WatchdogReaped()
-
-    async def _isolate(
-        self, cells: list[_ColdCell], budget: float | None
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        for cell in cells:
-            # serialised: a retried cell runs alone on the pool, so a
-            # break during it convicts *this* cell — a concurrent chunk's
-            # crasher cannot take innocent retries down with it (the
-            # evalx runner gets the same guarantee from its serial
-            # phase-2 loop)
-            async with self._isolate_lock:
-                pool = self._pool
-                try:
-                    outcomes, stats = await loop.run_in_executor(
-                        pool, compile_serve_chunk,
-                        self._payload([cell], budget),
-                    )
-                except Exception as exc:
-                    # died alone: this cell is the culprit
-                    if isinstance(exc, BrokenExecutor):
-                        self._pool_failed(pool)
-                    outcomes, stats = None, None
-                    failure = exc
-            if outcomes is not None:
-                self._absorb(outcomes, stats)
-            else:
-                self._absorb([Cell(
-                    loop_index=cell.slot, config=cell.label,
-                    failure=LoopFailure(
-                        config=cell.label, loop_name=cell.loop.name,
-                        error=repr(failure), kind="crash", attempts=2,
-                    ),
-                )], None)
-
-    def _pool_failed(self, pool: ProcessPoolExecutor) -> None:
-        """Replace the pool iff ``pool`` is still the live one (several
-        chunk tasks may observe the same break; only the first swaps)."""
-        if self._pool is pool:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-            pool.shutdown(wait=False)
-
-    def _absorb(self, outcomes: list[Cell], stats: StoreStats | None) -> None:
-        if stats is not None:
-            self.worker_store_stats.merge(stats)
-        for cell in outcomes:
+    def _absorb(self, result: ChunkResult) -> None:
+        """Settle a chunk's cells (the engine's ``on_result``)."""
+        if result.store_stats is not None:
+            self.worker_store_stats.merge(result.store_stats)
+        for cell in result.cells:
             digest = self._slot_digest.pop(cell.loop_index, None)
             if digest is None:
-                # already settled (a reaped chunk that then raced its own
-                # completion): never double-count the queue depth
-                continue
+                continue  # already settled: never double-count the queue depth
             self._pending_cells -= 1
             fut = self._inflight.pop(digest, None)
             if fut is not None and not fut.done():
@@ -644,7 +460,6 @@ def serve_forever(
     queue_limit: int = DEFAULT_QUEUE_LIMIT,
     pipeline_config: PipelineConfig | None = None,
     metrics_out: str | None = None,
-    watchdog_grace: float = 2.0,
 ) -> int:
     """Run the daemon until a drain completes; returns the exit status.
 
@@ -658,7 +473,6 @@ def serve_forever(
         service = CompileService(
             store_path, jobs=jobs, pipeline_config=pipeline_config,
             cell_timeout=cell_timeout, queue_limit=queue_limit,
-            watchdog_grace=watchdog_grace,
         )
         server = await asyncio.start_server(service.handle_client, host, port)
         bound = server.sockets[0].getsockname()

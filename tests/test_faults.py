@@ -8,7 +8,11 @@ right kind/attempt metadata, and every surviving loop's metrics match
 the clean serial run's exactly.
 """
 
+import os
+import pathlib
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -17,6 +21,7 @@ from repro.core.faults import (
     FAULT_CRASH_ENV,
     FAULT_HANG_ENV,
     FAULT_RAISE_ENV,
+    FAULT_STUCK_ENV,
     DeadlineExceeded,
     call_with_deadline,
     deadline,
@@ -31,6 +36,7 @@ from repro.workloads.corpus import spec95_corpus
 
 CONFIG = PipelineConfig(run_regalloc=False)
 ONE_CONFIG = ((2, CopyModel.EMBEDDED),)
+REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 
 class TestDeadline:
@@ -289,4 +295,65 @@ class TestAcceptance:
         assert len(run.failures) == 12  # 2 loops x 6 configurations
         for label, metrics in clean.per_config.items():
             survivors = [m for m in metrics if m.loop_name not in (crash, hang)]
+            assert run.per_config[label] == survivors
+
+
+class TestRunnerStuckWorker:
+    """A worker wedged past every ``SIGALRM`` deadline (blocked signals,
+    modelled by ``REPRO_FAULT_STUCK``) must not hang a parallel batch:
+    the engine's watchdog SIGKILLs it and types the loop's cells
+    ``timeout``, while every other cell matches a clean serial run.
+
+    The subprocess leg runs first and bounds a hang with a hard timeout,
+    so under ``pytest -x`` a regression fails here instead of stalling
+    the suite in the in-process leg."""
+
+    VICTIM = "dot"
+
+    def _evaluate(self, tmp_path, name, *args, env=None):
+        csv = tmp_path / f"{name}.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "evaluate", "--quick", "6",
+             "--csv", str(csv), *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),
+                 **(env or {})},
+            start_new_session=True,
+        )
+        try:
+            out, _err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the stuck workers too
+            proc.communicate()
+            pytest.fail(f"repro evaluate {' '.join(args)} hung")
+        return proc.returncode, out, csv.read_text(encoding="utf-8")
+
+    def test_cli_stuck_worker_ends_with_timeout_rows(self, tmp_path):
+        rc, out, csv = self._evaluate(
+            tmp_path, "stuck", "--jobs", "2", "--timeout", "1",
+            env={FAULT_STUCK_ENV: self.VICTIM},
+        )
+        assert rc == 1
+        assert "Failures (6):" in out
+        rows = [line for line in out.splitlines() if f" {self.VICTIM} " in line]
+        assert len(rows) == 6
+        assert all("timeout" in row and "watchdog" in row for row in rows)
+        clean_rc, _out, clean_csv = self._evaluate(tmp_path, "clean")
+        assert clean_rc == 0
+        survivors = [line for line in clean_csv.splitlines()
+                     if f",{self.VICTIM}," not in line]
+        assert csv.splitlines() == survivors
+
+    def test_run_evaluation_stuck_worker_is_reaped(self, monkeypatch):
+        loops = spec95_corpus(n=6)
+        assert self.VICTIM in {loop.name for loop in loops}
+        clean = run_evaluation(loops=loops, config=CONFIG)
+        monkeypatch.setenv(FAULT_STUCK_ENV, self.VICTIM)
+        run = run_evaluation(loops=loops, config=CONFIG, jobs=2, timeout=1.0)
+        assert [(f.loop_name, f.kind) for f in run.failures] == [
+            (self.VICTIM, "timeout")
+        ] * 6
+        assert all("watchdog" in f.error for f in run.failures)
+        for label, metrics in clean.per_config.items():
+            survivors = [m for m in metrics if m.loop_name != self.VICTIM]
             assert run.per_config[label] == survivors

@@ -27,8 +27,8 @@ import time
 
 import pytest
 
-from repro.core.faults import FAULT_CRASH_ENV, FAULT_STUCK_ENV
-from repro.core.pipeline import PipelineConfig
+from repro.core.faults import FAULT_CRASH_ENV, FAULT_RAISE_ENV, FAULT_STUCK_ENV
+from repro.core.pipeline import PipelineConfig, compile_loop
 from repro.evalx.export import run_to_csv
 from repro.evalx.runner import (
     PAPER_CONFIG_ORDER,
@@ -36,6 +36,8 @@ from repro.evalx.runner import (
     config_label,
     run_evaluation,
 )
+from repro.ir.parser import parse_loop
+from repro.ir.printer import format_loop
 from repro.machine.machine import CopyModel
 from repro.machine.presets import paper_machine
 from repro.serve.client import ServeClient, ServeError
@@ -288,6 +290,37 @@ class TestServeEndToEnd:
                    for c in cs)
         assert daemon.stop() == 0
 
+    def test_cold_loop_parsed_after_fork_matches_local_compile(
+        self, daemon_factory
+    ):
+        """Regression: the daemon parses each request with its own
+        register-id counter while its pool worker, forked earlier, mints
+        copy registers from a stale copy of that counter.  The worker must
+        move past every id of the loop it compiles, or the minted ids
+        collide with the loop's own and the served answer differs from a
+        local compile of the same text."""
+        first = spec95_corpus(n=1)[0]
+        # the first request forks the worker, which raises before minting
+        # any register: its counter then stands exactly where the daemon's
+        # stands when it parses the second request
+        daemon = daemon_factory(env={FAULT_RAISE_ENV: first.name})
+        target = next(loop for loop in spec95_corpus(seed=4)
+                      if loop.name == "syn_parallel_158")
+        text = format_loop(target)
+        with daemon.client(timeout=120.0) as client:
+            client.submit([first], configs=["2/embedded"])
+            result = client.submit([text])
+        assert result.compiled == len(PAPER_CONFIG_ORDER)
+        local = parse_loop(text)
+        for cell in result.cells:
+            n_clusters, model = parse_config_spec(cell.config)
+            want = compile_loop(
+                local, paper_machine(n_clusters, model),
+                PipelineConfig(run_regalloc=False),
+            ).metrics
+            assert cell.metrics == want, cell.config
+        assert daemon.stop() == 0
+
     def test_watchdog_reaps_stuck_worker(self, daemon_factory):
         """A worker wedged past every SIGALRM deadline (blocked signals,
         modelled by REPRO_FAULT_STUCK) must not hang the request or leak
@@ -297,7 +330,7 @@ class TestServeEndToEnd:
         loops = spec95_corpus(n=2)
         victim = loops[0].name
         daemon = daemon_factory(
-            "--jobs", "1", "--timeout", "0.5", "--watchdog-grace", "0.5",
+            "--jobs", "1", "--timeout", "0.5",
             env={FAULT_STUCK_ENV: victim},
         )
         t0 = time.monotonic()
@@ -306,7 +339,8 @@ class TestServeEndToEnd:
             stats = client.stats()
         elapsed = time.monotonic() - t0
         # the request met its deadline instead of waiting out the hour-
-        # long stuck sleep (watchdog limit: 0.5s/cell * 6 cells + grace)
+        # long stuck sleep (watchdog limit: 0.5s/cell * 6 cells + the
+        # engine's 2s grace)
         assert elapsed < 10.0
         assert len(result.cells) == len(loops) * len(PAPER_CONFIG_ORDER)
         by_loop: dict[str, list] = {}
@@ -324,23 +358,15 @@ class TestServeEndToEnd:
         assert stats["inflight_keys"] == 0
         assert daemon.stop() == 0
 
-    def test_watchdog_limit_composition(self, tmp_path):
-        from repro.serve.server import CompileService
+    def test_watchdog_limit_composition(self):
+        from repro.evalx.engine import WATCHDOG_GRACE, watchdog_limit
 
-        svc = CompileService(str(tmp_path / "wd-store"), cell_timeout=2.0,
-                             watchdog_grace=1.0)
-        try:
-            assert svc._watchdog_limit(3, None) == 7.0
-            assert svc._watchdog_limit(3, 4.0) == 5.0
-            assert svc._watchdog_limit(1, 10.0) == 3.0
-        finally:
-            svc.close()
-        unbounded = CompileService(str(tmp_path / "wd-store2"))
-        try:
-            assert unbounded._watchdog_limit(5, None) is None
-            assert unbounded._watchdog_limit(5, 4.0) == 6.0
-        finally:
-            unbounded.close()
+        assert WATCHDOG_GRACE == 2.0
+        assert watchdog_limit(3, 2.0, None) == 6.0 + WATCHDOG_GRACE
+        assert watchdog_limit(3, 2.0, 4.0) == 4.0 + WATCHDOG_GRACE
+        assert watchdog_limit(1, 2.0, 10.0) == 2.0 + WATCHDOG_GRACE
+        assert watchdog_limit(5, None, None) is None
+        assert watchdog_limit(5, None, 4.0) == 4.0 + WATCHDOG_GRACE
 
     def test_malformed_loop_is_refused(self, daemon_factory):
         daemon = daemon_factory()
